@@ -53,6 +53,7 @@ __all__ = [
     "run_config",
     "run_config_timed",
     "run_many",
+    "spawn_pool",
     "sweep",
 ]
 
@@ -99,11 +100,19 @@ def run_config_timed(
 #: interrupted batch can lose (completed chunks are already persisted).
 _CHUNKS_PER_WORKER = 4
 
-#: Worker pools use the spawn start method, matching the service's
-#: process pools: workers start from a fresh interpreter, so
-#: fork-inherited module state (monkeypatches, caches, open handles)
-#: cannot leak into sweep runs.
-_MP_START_METHOD = "spawn"
+
+def spawn_pool(max_workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """A process pool whose workers start from a fresh interpreter.
+
+    The one place the start method is chosen, for sweeps and the
+    service alike.  ``spawn`` means fork-inherited module state
+    (monkeypatches, caches, open handles, a threaded HTTP parent's
+    held locks) cannot leak into a worker.
+    """
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=multiprocessing.get_context("spawn"),
+    )
 
 
 def _run_chunk(
@@ -204,10 +213,7 @@ def run_many(
         chunks = _split_chunks(
             grouped, min(len(grouped), workers * _CHUNKS_PER_WORKER)
         )
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
-            mp_context=multiprocessing.get_context(_MP_START_METHOD),
-        ) as pool:
+        with spawn_pool(min(workers, len(chunks))) as pool:
             futures = {
                 pool.submit(
                     _run_chunk, [config for _, config in chunk]

@@ -2,18 +2,20 @@
 
 ``repro.service`` turns the simulator into a long-running service: a
 zero-dependency HTTP API (:mod:`repro.service.api`) accepting
-``ScenarioConfig`` JSON, a process-backed worker pool with
-**single-flight dedup** (:mod:`repro.service.queue` — identical
-concurrent configs coalesce into one execution, keyed by the canonical
-config digest), and a static JSON exporter
+``ScenarioConfig`` JSON, one job queue over a process-backed
+worker pool with **single-flight dedup** (:mod:`repro.service.queue`
+— identical concurrent configs coalesce into one execution, keyed by
+the canonical config digest), and a static JSON exporter
 (:mod:`repro.service.export`) rendering finished runs into
 dashboard-friendly documents.
 
-The execution plane is supervised (:mod:`repro.service.resilience`):
-dead workers rebuild the pool, failed-retryable jobs re-execute with
-deterministic backoff, hung jobs are cancelled and requeued, and
-overload degrades to ``503 + Retry-After`` instead of falling over.
-:mod:`repro.service.chaos` is the matching fault-injection harness.
+The queue and pool are supervised: dead workers rebuild the pool,
+failed-retryable jobs re-execute with deterministic backoff, hung jobs
+are cancelled and requeued, and overload degrades to
+``503 + Retry-After`` instead of falling over.  The failure policy —
+retry policy, retryable errors, exceptions, startup reconciliation —
+lives in :mod:`repro.service.resilience`; :mod:`repro.service.chaos`
+is the matching fault-injection harness.
 
 Start it with ``repro-sim serve``; talk to it with
 :class:`repro.service.client.ServiceClient` or plain curl.  The full
@@ -36,22 +38,20 @@ from repro.service.export import (
 )
 from repro.service.queue import (
     JobQueue,
-    QueueDepthExceeded,
     ServiceCounters,
-    ServiceUnavailable,
     SubmitOutcome,
     WorkerPool,
     execute_job,
+    reconcile_queue,
     worker_identity,
 )
 from repro.service.resilience import (
     JobTimeoutError,
     PoolUnavailable,
+    QueueDepthExceeded,
     RetryPolicy,
-    SupervisedPool,
-    SupervisedQueue,
+    ServiceUnavailable,
     is_retryable,
-    reconcile_queue,
     reconcile_stale_records,
 )
 
@@ -71,8 +71,6 @@ __all__ = [
     "ServiceServer",
     "ServiceUnavailable",
     "SubmitOutcome",
-    "SupervisedPool",
-    "SupervisedQueue",
     "WorkerCrash",
     "WorkerPool",
     "chaos_runner",

@@ -27,9 +27,11 @@ Python-style ``NaN`` literals (lossless for the bundled client); the
 Graceful degradation (``docs/SERVICE.md`` "Failure semantics"): a
 submission the queue cannot take — depth cap reached, worker pool
 broken beyond rebuilding, shutdown in progress — is answered with
-``503`` plus a ``Retry-After`` header, never a ``500``.  By default
-``serve`` builds a :class:`~repro.service.resilience.SupervisedQueue`
-and reconciles stale job records before accepting traffic.
+``503`` plus a ``Retry-After`` header, never a ``500``.  ``serve``
+reconciles stale job records before accepting traffic.
+
+Each response leaves in a single write, so a keep-alive client is not
+held back by Nagle's algorithm waiting on its own delayed ACK.
 """
 
 from __future__ import annotations
@@ -43,12 +45,8 @@ import urllib.parse
 
 from repro.deploy.scenario import ScenarioConfig
 from repro.service.export import export_entry
-from repro.service.queue import JobQueue, ServiceUnavailable
-from repro.service.resilience import (
-    RetryPolicy,
-    SupervisedQueue,
-    reconcile_queue,
-)
+from repro.service.queue import JobQueue, reconcile_queue
+from repro.service.resilience import RetryPolicy, ServiceUnavailable
 from repro.store import JobStatus, RunStore
 
 __all__ = ["ServiceHandler", "ServiceServer", "serve"]
@@ -103,6 +101,10 @@ class ServiceHandler(http.server.BaseHTTPRequestHandler):
     #: True once any byte of the current response hit the wire;
     #: reset per request, consulted by the catch-all recovery.
     _response_begun = False
+
+    #: Header lines ``send_header`` has queued but not yet written (a
+    #: ``BaseHTTPRequestHandler`` attribute the type stubs leave out).
+    _headers_buffer: typing.List[bytes]
 
     @property
     def queue(self) -> JobQueue:
@@ -170,11 +172,10 @@ class ServiceHandler(http.server.BaseHTTPRequestHandler):
     # Endpoints
     # ------------------------------------------------------------------
     def _get_health(self) -> None:
-        broken = bool(getattr(self.queue.pool, "broken", False))
         self._send_json(
             200,
             {
-                "status": "degraded" if broken else "ok",
+                "status": "degraded" if self.queue.pool.broken else "ok",
                 "workers": self.queue.pool.workers,
                 "inflight": self.queue.inflight_count(),
             },
@@ -310,14 +311,22 @@ class ServiceHandler(http.server.BaseHTTPRequestHandler):
         # Everything that can fail for content reasons (serialization)
         # has; from here any bytes written commit this response.
         self._response_begun = True
+        # The whole response goes out in one write, so ``end_headers``
+        # (which sends the headers on their own) is inlined here: sent
+        # apart, the body waits under Nagle's algorithm for the
+        # client's delayed ACK of the headers, ~40 ms on every
+        # keep-alive response.  HTTP/0.9 queues no headers at all.
+        self._headers_buffer = []
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if headers:
             for name, value in headers.items():
                 self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _send_error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message, "code": code})
@@ -360,7 +369,6 @@ def serve(
     quiet: bool = False,
     queue: typing.Optional[JobQueue] = None,
     policy: typing.Optional[RetryPolicy] = None,
-    reconcile: bool = True,
 ) -> ServiceServer:
     """Build a ready-to-run server (not yet serving).
 
@@ -369,22 +377,19 @@ def serve(
     ``serve_forever()`` (blocking) or run it in a thread, and pair
     ``server.shutdown()`` with ``server.queue.shutdown()`` on exit.
 
-    Without an explicit *queue*, a
-    :class:`~repro.service.resilience.SupervisedQueue` is built with
-    *policy* (default :class:`RetryPolicy`), so retries, timeouts, and
-    pool supervision are on out of the box.  Unless *reconcile* is
-    False, stale non-terminal job records from a previous server life
-    are settled to ``failed`` ("server restart") before the socket
-    binds — i.e. before the API accepts any traffic.
+    Without an explicit *queue*, a :class:`JobQueue` is built with
+    *policy* (default :class:`RetryPolicy`) and *workers*.  Stale
+    non-terminal job records from a previous server life are settled
+    to ``failed`` ("server restart") before the socket binds — i.e.
+    before the API accepts any traffic.
     """
     if queue is None:
-        queue = SupervisedQueue(
+        queue = JobQueue(
             store if store is not None else RunStore(),
             policy=policy,
             workers=workers,
         )
-    if reconcile:
-        reconcile_queue(queue)
+    reconcile_queue(queue)
     try:
         return ServiceServer((host, port), queue, quiet=quiet)
     except socket.error:

@@ -18,7 +18,7 @@ Two injection points:
   number is read from the persisted job record, so the schedule
   survives process boundaries.
 * :class:`FlakyStore` is a :class:`~repro.store.RunStore` whose first
-  ``fail_puts`` writes raise ``OSError`` (loud — the supervised queue
+  ``fail_puts`` writes raise ``OSError`` (loud — the job queue
   retries the job) and whose first ``fail_loads`` reads degrade to
   misses (quiet — mirroring ``RunStore``'s own handling of read
   errors).

@@ -1,28 +1,25 @@
-"""Fault-tolerant job execution: supervision, retries, timeouts, leases.
+"""Failure policy for the service: what to retry, when, and how to give up.
 
-The queue in :mod:`repro.service.queue` assumes the world cooperates: a
-worker that is SIGKILLed mid-job breaks the whole
-``ProcessPoolExecutor``, a hung simulation wedges its slot forever, and
-a server crash leaves ``queued``/``running`` records that nothing ever
-settles.  This module is the supervision layer that makes the service
-degrade instead of die — the same detect → verify → recover ladder the
-simulated robots apply to failed sensors, applied to the service's own
-workers:
+The queue and pool in :mod:`repro.service.queue` run the same
+detect → verify → recover ladder the simulated robots apply to failed
+sensors, applied to the service's own workers.  This module holds the
+parts of that ladder that are policy rather than mechanics:
 
-* :class:`SupervisedPool` detects a broken executor
-  (``BrokenProcessPool`` after a worker death, submits after teardown)
-  and transparently rebuilds it, keeping a generation counter so N
-  broken futures trigger one rebuild;
-* :class:`SupervisedQueue` retries failed-retryable executions with
-  bounded attempts and **deterministic** exponential backoff (jitter
-  drawn from a seeded :class:`~repro.sim.rng.RandomStreams` stream —
-  no wall-clock randomness, simlint R1 applies to service code too),
-  cancels and requeues runs that exceed their per-job timeout or whose
-  worker lease went stale, and rejects work beyond a queue-depth cap
-  with :class:`~repro.service.queue.QueueDepthExceeded` (HTTP 503);
-* :func:`reconcile_queue` settles stale non-terminal records from a
-  previous server life into ``failed`` (cause ``"server restart"``) —
-  failed records are retryable, so the next submission re-runs them.
+* the exceptions the service raises — :class:`ServiceUnavailable` and
+  its refinements become ``503 + Retry-After`` at the HTTP layer;
+  :class:`JobTimeoutError` marks an attempt that was cancelled and
+  requeued;
+* :data:`RETRYABLE_ERRORS` / :func:`is_retryable`, which split
+  infrastructure failures (worth re-executing) from deterministic ones;
+* :class:`RetryPolicy`: bounded attempts, **deterministic** exponential
+  backoff (jitter drawn from a seeded
+  :class:`~repro.sim.rng.RandomStreams` stream — no wall-clock
+  randomness, simlint R1 applies to service code too), the per-job
+  timeout, the lease grace, and the queue-depth cap;
+* :func:`reconcile_stale_records`, which settles stale non-terminal
+  records from a previous server life into ``failed`` (cause
+  ``"server restart"``) — failed records are retryable, so the next
+  submission re-runs them.
 
 Because simulations are pure functions of their config, re-executing a
 failed attempt is always semantically safe: a retried result is
@@ -34,34 +31,39 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import multiprocessing
-import threading
 import typing
 
-from repro.service.queue import (
-    JobQueue,
-    Runner,
-    ServiceUnavailable,
-    WorkerPool,
-    _InflightJob,
-    execute_job,
-)
 from repro.sim.rng import RandomStreams
 from repro.store import JobStatus, JobStore, RunStore
 from repro.store.codec import JobRecord
-from repro.store.provenance import perf_clock, wall_clock
+from repro.store.provenance import wall_clock
 
 __all__ = [
     "JobTimeoutError",
     "PoolUnavailable",
+    "QueueDepthExceeded",
     "RETRYABLE_ERRORS",
     "RetryPolicy",
-    "SupervisedPool",
-    "SupervisedQueue",
+    "ServiceUnavailable",
     "is_retryable",
-    "reconcile_queue",
     "reconcile_stale_records",
 ]
+
+
+class ServiceUnavailable(Exception):
+    """The service cannot accept this submission right now (HTTP 503).
+
+    Carries the suggested client back-off so the API layer can answer
+    with a ``Retry-After`` header.
+    """
+
+    def __init__(self, reason: str, retry_after_s: float = 1.0) -> None:
+        super().__init__(reason)
+        self.retry_after_s = retry_after_s
+
+
+class QueueDepthExceeded(ServiceUnavailable):
+    """Submission rejected: the in-flight queue is at its depth cap."""
 
 
 class JobTimeoutError(TimeoutError):
@@ -95,7 +97,7 @@ def is_retryable(error: BaseException) -> bool:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """How the supervised queue reacts to failures.  Immutable.
+    """How the job queue reacts to failures.  Immutable.
 
     Backoff for retry attempt ``n`` (the second execution is attempt 2)
     is ``base * factor**(n-2)`` capped at ``backoff_max_s``, stretched
@@ -170,416 +172,6 @@ class RetryPolicy:
         return dataclasses.asdict(self)
 
 
-def _kill_workers(executor: concurrent.futures.Executor) -> None:
-    """SIGKILL a ``ProcessPoolExecutor``'s workers; no-op otherwise.
-
-    ``shutdown(wait=False, cancel_futures=True)`` only cancels *queued*
-    work — a worker wedged inside a task would run to completion (and
-    the interpreter's exit hook would join it).  A rebuild exists
-    precisely to free such workers, so reach into the private process
-    table the same way the chaos harness does and kill them.
-    """
-    processes = getattr(executor, "_processes", None)
-    if not processes:
-        return
-    for process in list(processes.values()):
-        try:
-            if process.is_alive():
-                process.kill()
-        except OSError:
-            pass
-
-
-class SupervisedPool(WorkerPool):
-    """A :class:`WorkerPool` that survives the death of its executor.
-
-    A SIGKILLed (or OOM-killed) worker process breaks the whole
-    ``ProcessPoolExecutor``: every pending future raises
-    ``BrokenProcessPool`` and all further submits fail.  This pool
-    detects that, tears the executor down, and lazily builds a fresh
-    one — at most one rebuild per breakage, tracked by ``generation``.
-    Tests inject *executor_factory* to supervise thread pools or
-    deliberately-failing factories.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        runner: Runner = execute_job,
-        executor_factory: typing.Optional[
-            typing.Callable[[], concurrent.futures.Executor]
-        ] = None,
-        on_rebuild: typing.Optional[typing.Callable[[], None]] = None,
-    ) -> None:
-        super().__init__(workers=workers, runner=runner, executor=None)
-        self._factory = executor_factory
-        #: Called once per rebuild (the queue counts them).
-        self.on_rebuild = on_rebuild
-        #: Bumped on every rebuild; lets N broken futures share one.
-        self.generation = 0
-        self.rebuilds = 0
-        #: True while the pool cannot produce a working executor.
-        self.broken = False
-        self._supervision = threading.Lock()
-        self._closed = False
-
-    def _pool(self) -> concurrent.futures.Executor:
-        return self._acquire()[0]
-
-    def _acquire(
-        self,
-    ) -> typing.Tuple[concurrent.futures.Executor, int]:
-        """The working executor plus the generation it belongs to.
-
-        The generation is captured under the same lock that produced
-        the executor, so a submitter that later finds the executor
-        broken can ask for a rebuild *of that generation* — and no-op
-        when a sibling already replaced it.
-        """
-        with self._supervision:
-            if self._closed:
-                raise PoolUnavailable("worker pool is shut down")
-            if self._executor is None:
-                try:
-                    self._executor = self._build()
-                except Exception as error:
-                    self.broken = True
-                    raise PoolUnavailable(
-                        f"cannot build worker pool: {error}"
-                    ) from error
-            self.broken = False
-            return self._executor, self.generation
-
-    def _build(self) -> concurrent.futures.Executor:
-        if self._factory is not None:
-            return self._factory()
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
-
-    def heal(self) -> bool:
-        """Try to produce a working executor; True on success."""
-        try:
-            self._pool()
-        except ServiceUnavailable:
-            return False
-        return True
-
-    def submit(
-        self, config: typing.Any, store_root: str
-    ) -> "concurrent.futures.Future[typing.Any]":
-        """Schedule *config*, rebuilding the pool once if it is broken."""
-        for already_rebuilt in (False, True):
-            executor, generation = self._acquire()
-            try:
-                return executor.submit(self.runner, config, store_root)
-            except (
-                concurrent.futures.BrokenExecutor,
-                RuntimeError,
-            ) as error:
-                if already_rebuilt or self._closed:
-                    self.broken = True
-                    raise PoolUnavailable(
-                        f"worker pool broken: {error}"
-                    ) from error
-                self.rebuild_if(generation)
-        raise AssertionError("unreachable")
-
-    def rebuild(self) -> None:
-        """Tear the current executor down; the next use builds fresh."""
-        self.rebuild_if(self.generation)
-
-    def rebuild_if(self, generation: int) -> bool:
-        """Rebuild only while *generation* is still the current one.
-
-        This is how N broken futures share one rebuild: every submitter
-        that found generation G broken asks to replace exactly G; the
-        first request wins, the rest no-op instead of SIGKILLing the
-        fresh executor a sibling just built (and submitted to).
-
-        Running worker processes of the replaced executor are killed
-        (their futures settle with ``BrokenProcessPool`` /
-        ``CancelledError``, which the supervised queue treats as
-        retryable).  Thread-based executors cannot be killed — their
-        threads are abandoned and ignored via the stale-future guard.
-        Returns True when this call actually rebuilt.
-        """
-        with self._supervision:
-            if self._closed or self.generation != generation:
-                return False
-            stale = self._executor
-            self._executor = None
-            self.generation += 1
-            self.rebuilds += 1
-            hook = self.on_rebuild
-        if stale is not None:
-            _kill_workers(stale)
-            stale.shutdown(wait=False, cancel_futures=True)
-        if hook is not None:
-            hook()
-        return True
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool for good; further submits raise.
-
-        ``wait=False`` means "now": wedged workers are killed rather
-        than joined at interpreter exit.
-        """
-        with self._supervision:
-            self._closed = True
-            executor = self._executor
-        if not wait and executor is not None:
-            _kill_workers(executor)
-        super().shutdown(wait=wait)
-
-
-class SupervisedQueue(JobQueue):
-    """A :class:`JobQueue` that keeps its promises under failure.
-
-    Every accepted submission reaches a terminal state: retryable
-    failures (dead workers, store IO faults, timeouts) are re-executed
-    up to ``policy.max_retries`` times with deterministic backoff;
-    anything beyond that settles as ``failed``.  A daemon monitor
-    thread enforces per-job timeouts and worker-lease staleness every
-    *monitor_interval_s* (pass ``None`` for manual
-    :meth:`check_timeouts` calls in tests).
-    """
-
-    def __init__(
-        self,
-        store: RunStore,
-        policy: typing.Optional[RetryPolicy] = None,
-        workers: int = 2,
-        pool: typing.Optional[WorkerPool] = None,
-        monitor_interval_s: typing.Optional[float] = 0.25,
-    ) -> None:
-        self.policy = policy if policy is not None else RetryPolicy()
-        if pool is None:
-            pool = SupervisedPool(workers=workers)
-        super().__init__(
-            store, pool=pool, max_inflight=self.policy.queue_depth
-        )
-        if isinstance(pool, SupervisedPool) and pool.on_rebuild is None:
-            pool.on_rebuild = self._count_rebuild
-        self._monitor_interval_s = monitor_interval_s
-        self._monitor_stop = threading.Event()
-        self._monitor: typing.Optional[threading.Thread] = None
-        if monitor_interval_s is not None and monitor_interval_s > 0:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop,
-                name="service-monitor",
-                daemon=True,
-            )
-            self._monitor.start()
-
-    # ------------------------------------------------------------------
-    # Degradation: reject instead of accept-and-lose
-    # ------------------------------------------------------------------
-    def submit(
-        self, config: typing.Any, source: str = "api"
-    ) -> typing.Any:
-        pool = self.pool
-        if (
-            isinstance(pool, SupervisedPool)
-            and pool.broken
-            and not pool.heal()
-        ):
-            with self._lock:
-                self.counters.rejected += 1
-            raise PoolUnavailable(
-                "worker pool unavailable and could not be rebuilt",
-                retry_after_s=5.0,
-            )
-        return super().submit(config, source)
-
-    # ------------------------------------------------------------------
-    # Retry ladder
-    # ------------------------------------------------------------------
-    def _retry_after_failure(
-        self, digest: str, job: _InflightJob, error: BaseException
-    ) -> bool:
-        """Schedule a bounded, backed-off re-execution when sensible."""
-        with self._lock:
-            if self._closing or self._inflight.get(digest) is not job:
-                return False
-            record = job.record
-            if record.attempts > self.policy.max_retries:
-                return False
-            if not is_retryable(error):
-                return False
-            record.attempts += 1
-            record.status = JobStatus.QUEUED
-            record.worker = None
-            record.started_unix = None
-            record.lease_unix = None
-            record.error = f"retrying after: {error}"
-            self.counters.retries += 1
-            delay_s = self.policy.backoff_s(digest, record.attempts)
-            self.jobs.save(record)
-            if job.timer is not None:
-                # Defensive: never leave two live timers racing to
-                # redispatch the same job.
-                job.timer.cancel()
-            timer = threading.Timer(
-                delay_s, self._redispatch, args=(digest, job)
-            )
-            timer.daemon = True
-            job.timer = timer
-            job.future = None
-            job.dispatched_s = None
-        timer.start()
-        return True
-
-    def _redispatch(self, digest: str, job: _InflightJob) -> None:
-        """Backoff elapsed: hand the job back to the pool."""
-        with self._lock:
-            job.timer = None
-            if self._closing or self._inflight.get(digest) is not job:
-                return
-        self._dispatch(digest, job)
-
-    def _dispatch(self, digest: str, job: _InflightJob) -> None:
-        """Dispatch, converting synchronous pool failures into the
-        same retry ladder asynchronous ones take."""
-        try:
-            super()._dispatch(digest, job)
-        except Exception as error:
-            if not self._retry_after_failure(digest, job, error):
-                self._settle_failed(digest, job, error)
-
-    # ------------------------------------------------------------------
-    # Timeouts and leases
-    # ------------------------------------------------------------------
-    def check_timeouts(self) -> typing.List[str]:
-        """Expire overdue attempts; returns the digests requeued.
-
-        Two triggers: the dispatch is older than ``policy.job_timeout_s``
-        (hung or just too slow), or the worker's persisted lease has
-        not been renewed within ``policy.lease_grace_s`` (the worker is
-        silently dead — only meaningful once a worker wrote a lease).
-        Called by the monitor thread; tests call it directly.
-        """
-        policy = self.policy
-        now_s = perf_clock()
-        candidates: typing.List[
-            typing.Tuple[str, _InflightJob, typing.Optional[float]]
-        ] = []
-        with self._lock:
-            for digest, job in self._inflight.items():
-                if job.future is None or job.timer is not None:
-                    continue
-                if job.future.done():
-                    continue
-                candidates.append((digest, job, job.dispatched_s))
-        expired: typing.List[str] = []
-        for digest, job, dispatched_s in candidates:
-            reason: typing.Optional[str] = None
-            if (
-                policy.job_timeout_s is not None
-                and dispatched_s is not None
-                and now_s - dispatched_s > policy.job_timeout_s
-            ):
-                reason = (
-                    f"execution exceeded its "
-                    f"{policy.job_timeout_s:g}s budget"
-                )
-            else:
-                persisted = self.jobs.load(digest)
-                wall_now = wall_clock()
-                if (
-                    persisted is not None
-                    and not persisted.terminal
-                    and persisted.lease_unix is not None
-                    and wall_now - persisted.lease_unix
-                    > policy.lease_grace_s
-                ):
-                    reason = (
-                        f"worker lease stale beyond "
-                        f"{policy.lease_grace_s:g}s"
-                    )
-            if reason is not None:
-                self._expire(digest, job, reason)
-                expired.append(digest)
-        return expired
-
-    def _expire(
-        self, digest: str, job: _InflightJob, reason: str
-    ) -> None:
-        """Cancel an overdue attempt and route it into the retry ladder."""
-        with self._lock:
-            if self._inflight.get(digest) is not job:
-                return
-            future = job.future
-            if future is None or job.timer is not None:
-                return
-            if future.done():
-                # Completed between the timeout scan and now: its
-                # ``_finish`` callback owns settlement.  Expiring it
-                # anyway would discard a finished result, and — since
-                # ``cancel()`` returns False on done futures — tear
-                # down a pool full of healthy workers.
-                return
-            # Everything the old attempt does from here on is stale:
-            # its eventual completion hits the guard in ``_finish``.
-            job.future = None
-            job.dispatched_s = None
-            self.counters.timeouts += 1
-        if not future.cancel():
-            # Already running on a worker we cannot reach into — tear
-            # the pool down to free the slot.  Process workers die
-            # (other in-flight futures break and retry); thread
-            # workers are merely abandoned.
-            if isinstance(self.pool, SupervisedPool):
-                self.pool.rebuild()
-        error = JobTimeoutError(reason)
-        if not self._retry_after_failure(digest, job, error):
-            self._settle_failed(digest, job, error)
-
-    def _monitor_loop(self) -> None:
-        interval = self._monitor_interval_s
-        assert interval is not None
-        while not self._monitor_stop.wait(interval):
-            self.check_timeouts()
-
-    def _count_rebuild(self) -> None:
-        with self._lock:
-            self.counters.pool_rebuilds += 1
-
-    # ------------------------------------------------------------------
-    # Introspection & lifecycle
-    # ------------------------------------------------------------------
-    def service_stats(self) -> typing.Dict[str, typing.Any]:
-        """Base payload plus retry policy and pool supervision state."""
-        payload = super().service_stats()
-        payload["supervised"] = True
-        payload["policy"] = self.policy.to_json_dict()
-        pool = self.pool
-        if isinstance(pool, SupervisedPool):
-            payload["pool"] = {
-                "broken": pool.broken,
-                "generation": pool.generation,
-                "rebuilds": pool.rebuilds,
-            }
-        return payload
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop monitoring, cancel pending backoffs, release waiters."""
-        self._monitor_stop.set()
-        with self._lock:
-            self._closing = True
-            timers = [
-                job.timer
-                for job in self._inflight.values()
-                if job.timer is not None
-            ]
-        for timer in timers:
-            timer.cancel()
-        if self._monitor is not None:
-            self._monitor.join(timeout=10.0)
-        super().shutdown(wait=wait)
-
-
 # ----------------------------------------------------------------------
 # Startup reconciliation
 # ----------------------------------------------------------------------
@@ -613,20 +205,3 @@ def reconcile_stale_records(
         changed.append(record)
     return changed
 
-
-def reconcile_queue(
-    queue: JobQueue, cause: str = "server restart"
-) -> typing.List[JobRecord]:
-    """Run :func:`reconcile_stale_records` for *queue*'s stores.
-
-    Digests currently in flight are skipped (they are being handled);
-    call this before the queue accepts traffic — ``serve`` does.
-    """
-    changed = reconcile_stale_records(
-        queue.store,
-        queue.jobs,
-        cause=cause,
-        skip=frozenset(queue.inflight_digests()),
-    )
-    queue.counters.reconciled += len(changed)
-    return changed

@@ -145,7 +145,7 @@ def decode_entry(
 #: preimage.  A record written under a different version is treated as
 #: absent (the job is re-derived from the store entry, or re-run).
 #: v2 added retry bookkeeping (``attempts``) and the worker lease
-#: (``lease_unix``) for the supervised queue (repro.service.resilience).
+#: (``lease_unix``) for the service's job queue (repro.service.queue).
 JOB_SCHEMA_VERSION = 2
 
 
@@ -190,7 +190,7 @@ class JobRecord:
     #: (single-flight dedup counts every taker).
     submissions: int = 1
     #: Execution attempts dispatched so far (1 for the first run; the
-    #: supervised queue increments it on every automatic retry).
+    #: job queue increments it on every automatic retry).
     attempts: int = 1
     #: Last lease renewal written by the executing worker (wall clock).
     #: ``None`` until a worker first touches the record; a stale lease

@@ -6,6 +6,8 @@ processes are spawned and no real simulation runs.
 """
 
 import concurrent.futures
+import http.client
+import json
 import threading
 
 import pytest
@@ -17,8 +19,6 @@ from repro.service import (
     JobQueue,
     RetryPolicy,
     ServiceClient,
-    SupervisedPool,
-    SupervisedQueue,
     WorkerPool,
     serve,
 )
@@ -59,7 +59,7 @@ def service(tmp_path):
     pool = WorkerPool(
         workers=2,
         runner=instant_runner,
-        executor=concurrent.futures.ThreadPoolExecutor(2),
+        executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(2),
     )
     queue = JobQueue(store, pool=pool)
     server = serve(queue=queue, quiet=True)
@@ -103,12 +103,12 @@ def gated_service(tmp_path):
         assert gate.wait(30)
         return make_report(config.describe()), 0.25, "pid-test"
 
-    pool = SupervisedPool(
+    pool = WorkerPool(
         workers=2,
         runner=gated_runner,
         executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(2),
     )
-    queue = SupervisedQueue(
+    queue = JobQueue(
         RunStore(tmp_path),
         policy=RetryPolicy(max_retries=0, queue_depth=1),
         pool=pool,
@@ -128,7 +128,6 @@ class TestServiceStats:
     def test_plain_queue_stats_shape(self, service):
         client, _queue, _store = service
         stats = client.service_stats()
-        assert stats["supervised"] is False
         assert stats["workers"] == 2
         assert stats["inflight"] == 0
         counters = stats["counters"]
@@ -231,6 +230,53 @@ class TestDegradation:
         finally:
             release.cancel()
             gate.set()
+
+
+class TestKeepAlive:
+    def test_each_response_is_one_socket_write(self, service, monkeypatch):
+        """Headers and body written apart stall every keep-alive
+        response ~40 ms (Nagle's algorithm holds the body until the
+        client's delayed ACK of the headers), so each response must
+        leave the server in a single write."""
+        from repro.service.api import ServiceHandler
+
+        writes = []
+        original_setup = ServiceHandler.setup
+
+        def recording_setup(self):
+            original_setup(self)
+            write = self.wfile.write
+
+            def record(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            self.wfile.write = record
+
+        monkeypatch.setattr(ServiceHandler, "setup", recording_setup)
+        client, _queue, store = service
+        store.put(CONFIG, make_report())
+        requests = [
+            ("GET", "/healthz", None),
+            ("POST", "/v1/runs", json.dumps(CONFIG.to_json_dict())),
+            ("GET", f"/v1/runs/{config_digest(CONFIG)}", None),
+            ("GET", "/v1/no-such-thing", None),
+        ]
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", client.port, timeout=5
+        )
+        try:
+            statuses = []
+            for method, path, body in requests:
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [200, 200, 200, 404]
+        assert len(writes) == len(requests)
+        assert all(write.startswith(b"HTTP/1.1 ") for write in writes)
 
 
 class TestSubmit:
@@ -356,7 +402,7 @@ class TestExportEndpoint:
         pool = WorkerPool(
             workers=1,
             runner=blocked_runner,
-            executor=concurrent.futures.ThreadPoolExecutor(1),
+            executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(1),
         )
         queue = JobQueue(RunStore(tmp_path), pool=pool)
         server = serve(queue=queue, quiet=True)

@@ -65,7 +65,7 @@ def gated(tmp_path):
     pool = WorkerPool(
         workers=2,
         runner=runner,
-        executor=concurrent.futures.ThreadPoolExecutor(2),
+        executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(2),
     )
     queue = JobQueue(RunStore(tmp_path), pool=pool)
     yield queue, runner
@@ -145,7 +145,7 @@ class TestFailures:
         pool = WorkerPool(
             workers=1,
             runner=runner,
-            executor=concurrent.futures.ThreadPoolExecutor(1),
+            executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(1),
         )
         queue = JobQueue(RunStore(tmp_path), pool=pool)
         outcome = queue.submit(CONFIG)

@@ -16,15 +16,13 @@ import pytest
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.metrics import RunReport
 from repro.service.chaos import FlakyStore, WorkerCrash
-from repro.service.queue import QueueDepthExceeded
+from repro.service.queue import JobQueue, WorkerPool, reconcile_queue
 from repro.service.resilience import (
     JobTimeoutError,
     PoolUnavailable,
+    QueueDepthExceeded,
     RetryPolicy,
-    SupervisedPool,
-    SupervisedQueue,
     is_retryable,
-    reconcile_queue,
     reconcile_stale_records,
 )
 from repro.store import (
@@ -81,15 +79,15 @@ class CrashFirstRunner:
 
 
 def supervised(tmp_path, runner, policy=FAST, store=None, workers=2):
-    """A SupervisedQueue over a thread executor; monitor disabled."""
-    pool = SupervisedPool(
+    """A JobQueue over a thread executor; monitor disabled."""
+    pool = WorkerPool(
         workers=workers,
         runner=runner,
         executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(
             workers
         ),
     )
-    return SupervisedQueue(
+    return JobQueue(
         store if store is not None else RunStore(tmp_path),
         policy=policy,
         pool=pool,
@@ -500,10 +498,10 @@ class TestPoolSupervision:
             return concurrent.futures.ThreadPoolExecutor(2)
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=2, runner=runner, executor_factory=factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=FAST,
             pool=pool,
@@ -524,7 +522,7 @@ class TestPoolSupervision:
         exactly one teardown: the losers must not SIGKILL the fresh
         executor the winner just built (and dispatched to)."""
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1,
             runner=runner,
             executor_factory=lambda: (
@@ -551,10 +549,10 @@ class TestPoolSupervision:
             raise RuntimeError("no processes for you")
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1, runner=runner, executor_factory=dead_factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=FAST,
             pool=pool,
@@ -581,10 +579,10 @@ class TestPoolSupervision:
             return concurrent.futures.ThreadPoolExecutor(1)
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1, runner=runner, executor_factory=flaky_factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=RetryPolicy(max_retries=0),
             pool=pool,
@@ -780,7 +778,7 @@ class TestShutdown:
         runner = CrashFirstRunner(crashes=0)
         queue = supervised(tmp_path, runner)
         queue.shutdown()
-        from repro.service.queue import ServiceUnavailable
+        from repro.service.resilience import ServiceUnavailable
 
         with pytest.raises(ServiceUnavailable):
             queue.submit(CONFIG)
