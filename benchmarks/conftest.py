@@ -22,13 +22,14 @@ Two extras wired through this conftest:
   the content-addressed run store (``docs/STORE.md``) — reruns at the
   same scale are pure cache hits, and an interrupted ``full`` sweep
   resumes where it stopped.
-* **Machine-readable results.**  The session writes per-bench wall
+* **Machine-readable results.**  The session merges per-bench wall
   times plus the sweep's headline metrics (and its store hit/miss
-  split) to ``BENCH_results.json`` (path override: the
-  ``REPRO_BENCH_RESULTS`` environment variable).
+  split) into ``BENCH_results.json`` (path override: the
+  ``REPRO_BENCH_RESULTS`` environment variable) through
+  :func:`repro.perf.merge_bench_results`, so the ``repro-sim bench``
+  sections and hand-recorded fields already in the file survive.
 """
 
-import json
 import math
 import os
 import time
@@ -37,6 +38,7 @@ import pytest
 
 from repro.deploy import Algorithm
 from repro.experiments import sweep
+from repro.perf import merge_bench_results
 from repro.store import RunStore
 
 SCALES = {
@@ -87,7 +89,7 @@ def _point_mean(point, metric):
 
 @pytest.fixture(scope="session")
 def bench_results():
-    """Session-wide collector written to ``BENCH_results.json`` at exit."""
+    """Session-wide collector merged into ``BENCH_results.json`` at exit."""
     results = {
         "scale": os.environ.get("REPRO_BENCH_SCALE", "default"),
         "robot_speed_mps": BENCH_ROBOT_SPEED,
@@ -96,9 +98,7 @@ def bench_results():
     }
     yield results
     path = os.environ.get("REPRO_BENCH_RESULTS", "BENCH_results.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    merge_bench_results(path, results)
 
 
 @pytest.fixture(autouse=True)

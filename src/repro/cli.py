@@ -1105,9 +1105,7 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 def _command_bench(args: argparse.Namespace) -> int:
     """Run the microbenchmark battery; merge into BENCH_results.json."""
-    import json
-
-    from repro.perf import run_benchmarks
+    from repro.perf import merge_bench_results, run_benchmarks
 
     results = run_benchmarks(quick=args.quick)
     rows = [
@@ -1123,34 +1121,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         )
     )
     if args.output != "-":
-        merged: typing.Dict[str, typing.Any] = {}
-        if os.path.exists(args.output):
-            try:
-                with open(args.output, "r", encoding="utf-8") as handle:
-                    merged = json.load(handle)
-            except (OSError, ValueError):
-                print(
-                    f"bench: could not parse {args.output}; rewriting",
-                    file=sys.stderr,
-                )
-                merged = {}
-        merged["microbenchmarks"] = results
-        # Mirror the kernel-vs-scalar and sweep entries into dedicated
-        # sections so before/after comparisons don't have to fish them
-        # out of the flat microbenchmark map.
-        merged["geometry_kernels"] = {
-            name: entry
-            for name, entry in results.items()
-            if name.startswith(("voronoi_membership", "distance_filter"))
-        }
-        merged["sweep_throughput"] = {
-            name: entry
-            for name, entry in results.items()
-            if name.startswith("sweep_")
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        merge_bench_results(args.output, {"microbenchmarks": results})
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
 

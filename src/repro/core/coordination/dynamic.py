@@ -45,9 +45,7 @@ class DynamicStrategy(CoordinationStrategy):
         positions = [robot.position for robot in robots]
 
         # Deployment-time seed: every sensor knows the initial robot
-        # layout and adopts the closest robot as myrobot.  Membership is
-        # resolved for all sensors in one flat-array kernel pass
-        # (bit-identical to the per-sensor closest_site_index loop).
+        # layout and adopts the closest robot as myrobot.
         sensors = self.runtime.sensors_sorted()
         indices = closest_site_indices(
             [sensor.position for sensor in sensors], positions

@@ -14,12 +14,8 @@ from repro.geometry.detour import (
 )
 from repro.geometry.kernels import (
     collect_entries_within_radius,
-    compile_nearest_site_kernel,
     distances_to_point,
-    filter_within_radius,
     in_disk_mask,
-    nearest_site_index,
-    nearest_site_indices,
     segment_distances_to_points,
 )
 from repro.geometry.partition import (
@@ -52,14 +48,10 @@ __all__ = [
     "closest_site_index",
     "closest_site_indices",
     "collect_entries_within_radius",
-    "compile_nearest_site_kernel",
     "detour_around",
     "distances_to_point",
-    "filter_within_radius",
     "in_disk_mask",
     "midpoint",
-    "nearest_site_index",
-    "nearest_site_indices",
     "plan_route",
     "polyline_length",
     "segment_crosses_disk",

@@ -15,10 +15,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.geometry.kernels import (
-    compile_nearest_site_kernel,
-    nearest_site_indices,
-)
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, Rect
 
@@ -96,23 +92,14 @@ def closest_site_indices(
     points: typing.Sequence[Point],
     sites: typing.Sequence[Point],
 ) -> typing.List[int]:
-    """Nearest-site index for every point, in one flat-array pass.
-
-    Element-wise identical to :func:`closest_site_index` per point
-    (same squared-distance float ops, first site wins ties) — see
-    :func:`repro.geometry.kernels.nearest_site_indices`.
+    """:func:`closest_site_index` for every point, in order.
 
     Raises
     ------
     ValueError
         If *sites* is empty and *points* is not.
     """
-    return nearest_site_indices(
-        [p.x for p in points],
-        [p.y for p in points],
-        [s.x for s in sites],
-        [s.y for s in sites],
-    )
+    return [closest_site_index(point, sites) for point in points]
 
 
 class VoronoiDiagram:
@@ -135,17 +122,6 @@ class VoronoiDiagram:
         self.bounds = bounds
         self._sites: typing.Dict[str, Point] = {}
         self._cells: typing.Optional[typing.Dict[str, ConvexPolygon]] = None
-        #: Compiled nearest-site classifier over the current sites (see
-        #: :func:`repro.geometry.kernels.compile_nearest_site_kernel`),
-        #: with the matching name order; rebuilt lazily after any site
-        #: change, then reused for every ``owner_of`` query.
-        self._classifier: typing.Optional[
-            typing.Callable[
-                [typing.Sequence[float], typing.Sequence[float]],
-                typing.List[int],
-            ]
-        ] = None
-        self._classifier_names: typing.List[str] = []
 
     # ------------------------------------------------------------------
     # Site management
@@ -154,13 +130,11 @@ class VoronoiDiagram:
         """Add or move the site *name*; invalidates cached cells."""
         self._sites[name] = position
         self._cells = None
-        self._classifier = None
 
     def remove_site(self, name: str) -> None:
         """Remove the site *name* (KeyError if absent)."""
         del self._sites[name]
         self._cells = None
-        self._classifier = None
 
     @property
     def sites(self) -> typing.Dict[str, Point]:
@@ -188,18 +162,8 @@ class VoronoiDiagram:
         """
         if not self._sites:
             raise ValueError("diagram has no sites")
-        classifier = self._classifier
-        if classifier is None:
-            names = list(self._sites)
-            positions = [self._sites[n] for n in names]
-            classifier = compile_nearest_site_kernel(
-                [p.x for p in positions], [p.y for p in positions]
-            )
-            self._classifier = classifier
-            self._classifier_names = names
-        return self._classifier_names[
-            classifier((point.x,), (point.y,))[0]
-        ]
+        names = list(self._sites)
+        return names[closest_site_index(point, list(self._sites.values()))]
 
     def neighbours_of(self, name: str) -> typing.List[str]:
         """Sites whose cells share a boundary with *name*'s cell.

@@ -1,12 +1,13 @@
-"""Performance harness: hot-path microbenchmarks and profiling helpers.
+"""Performance harness: live fast-path microbenchmarks and profiling.
 
-``repro.perf.bench`` measures throughput of the three substrate hot
-paths (event kernel, spatial grid, channel broadcast fan-out) plus the
-service plane's cache-hit submission path, with plain self-timed
-loops — no pytest required — so the numbers can be recorded by
-``repro-sim bench`` and compared across commits.
-``repro.perf.profiling`` wraps :mod:`cProfile` for the ``--profile``
-flag on the sweep-backed CLI commands.
+``repro.perf.bench`` measures throughput of the simulator's fast paths
+(event kernel, spatial grid, channel broadcast fan-out, fault-field
+distance filter) with plain self-timed loops — no pytest required — so
+the numbers can be recorded by ``repro-sim bench`` and compared across
+commits.  Its ``merge_bench_results`` is the one writer of
+``BENCH_results.json``.  ``repro.perf.profiling`` wraps
+:mod:`cProfile` for the ``--profile`` flag on the sweep-backed CLI
+commands.
 
 See ``docs/PERFORMANCE.md`` for the hot-path inventory and the caching
 invariants the optimized paths rely on.
@@ -16,8 +17,8 @@ from repro.perf.bench import (
     PAPER_DENSITIES,
     channel_fanout_throughput,
     kernel_throughput,
+    merge_bench_results,
     run_benchmarks,
-    service_submit_throughput,
     spatial_throughput,
 )
 from repro.perf.profiling import profile_call
@@ -26,8 +27,8 @@ __all__ = [
     "PAPER_DENSITIES",
     "channel_fanout_throughput",
     "kernel_throughput",
+    "merge_bench_results",
     "profile_call",
     "run_benchmarks",
-    "service_submit_throughput",
     "spatial_throughput",
 ]

@@ -1,60 +1,41 @@
-"""Self-timed microbenchmarks of the simulator's hot paths.
+"""Self-timed microbenchmarks of the simulator's live fast paths.
 
-Three substrates account for nearly all simulation wall time and each
-has a dedicated throughput benchmark:
+Every bench here guards a fast path that a simulation runs:
 
 * **Event kernel** — schedule-and-run a long chain of ``call_in``
   callbacks (the dominant event shape: MAC wakeups, deliveries, timers).
 * **Spatial grid** — disk range queries at the paper's sensor density
-  (one sensor per ~28 m × 28 m, 63 m query radius).
+  (one sensor per ~28 m × 28 m, 63 m query radius), with the query
+  memo warm or cold.
 * **Channel fan-out** — one-hop broadcast ``transmit`` + delivery over
   fields at the paper's three densities (4/9/16 robots' worth of
   sensors), optionally with a lossy radio.
+* **Fault-field distance filter** — the per-receiver ``drop_cause``
+  loop against the batched ``drop_causes`` that the channel runs under
+  a jam or partition; the batched entry carries a ``speedup`` field.
 
-A fourth benchmark times the service plane instead of the simulator:
-**service submit** pushes cache-hit submissions through the full HTTP
-stack (client → ``ThreadingHTTPServer`` → single-flight queue → store
-lookup) and reports requests per second.
-
-Two further groups cover the flat-array geometry layer and the sweep
-engine:
-
-* **Geometry kernels** — Voronoi membership (scalar per-point calls
-  vs the generic flat-array kernel vs a compiled site-specialized
-  kernel) and the fault-field distance filter (per-receiver
-  ``drop_cause`` vs the batched, sparse ``drop_causes``).  Kernel
-  entries carry a ``speedup`` field over their scalar run.
-* **Sweep throughput** — a miniature serial sweep (all three
-  algorithms at one grid cell) run end to end from a cold placement
-  cache, reporting runs per second and wall time.  The three runs
-  share one deployment, so the per-process placement cache serves two
-  of the three placements from memory.
+Whole runs, sweeps and the service are measured end to end by the
+repository benchmark (``perfbench/``), not here.
 
 All benchmarks build their own fixtures, time with the provenance
 clock (the package's single sanctioned wall-clock read site), and
-return plain ``operations / second`` floats, so they run identically
-under ``repro-sim bench``, pytest, and CI.
+return plain ``operations / second`` floats.  :func:`merge_bench_results`
+is the one writer of ``BENCH_results.json``: ``repro-sim bench`` and
+the figure-bench suite both merge their sections through it.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-import threading
+import json
+import sys
 import typing
 
-from repro.deploy.placement_cache import reset_placement_cache
-from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.geometry import Point
-from repro.geometry.kernels import compile_nearest_site_kernel
-from repro.geometry.voronoi import closest_site_index, closest_site_indices
-from repro.metrics.collector import RunReport
 from repro.net import Channel, NetworkNode, RadioConfig
 from repro.net.frames import BROADCAST, Category, Frame, Packet
 from repro.net.radio import SENSOR_RANGE_M
 from repro.net.spatial import SpatialGrid
 from repro.sim import RandomStreams, Simulator
-from repro.store import RunStore
 from repro.store.provenance import perf_clock
 
 __all__ = [
@@ -62,11 +43,9 @@ __all__ = [
     "channel_fanout_throughput",
     "distance_filter_throughput",
     "kernel_throughput",
+    "merge_bench_results",
     "run_benchmarks",
-    "service_submit_throughput",
     "spatial_throughput",
-    "sweep_mini_throughput",
-    "voronoi_membership_throughput",
 ]
 
 #: Sensor populations matching the paper's three field sizes (4, 9 and
@@ -178,63 +157,6 @@ def channel_fanout_throughput(
     return sent / (perf_clock() - started)
 
 
-def _best_of(runs: typing.Sequence[float]) -> float:
-    """The highest throughput of repeated measurements (timeit-style:
-    the minimum-interference run is the honest one)."""
-    return max(runs)
-
-
-def voronoi_membership_throughput(
-    points: int = 2_000,
-    sites: int = 9,
-    rounds: int = 50,
-    mode: str = "kernel",
-    repeats: int = 3,
-) -> float:
-    """Voronoi membership assignments per second (best of *repeats*).
-
-    ``mode="scalar"`` classifies each point with its own
-    :func:`~repro.geometry.voronoi.closest_site_index` call — what the
-    dynamic strategy's ``setup`` did before the kernel layer.
-    ``mode="kernel"`` runs one
-    :func:`~repro.geometry.voronoi.closest_site_indices` call per
-    round, including the flatten step the call site pays.
-    ``mode="compiled"`` classifies through a site-specialized
-    :func:`~repro.geometry.kernels.compile_nearest_site_kernel`
-    function (built once, outside the timed region — the frozen-site
-    amortized case, e.g. ``VoronoiDiagram.owner_of``).
-    """
-    rng = RandomStreams(3).stream("perf.voronoi.layout")
-    side = _SIDE_PER_SENSOR_M * (points**0.5)
-    field = [
-        Point(rng.uniform(0, side), rng.uniform(0, side))
-        for _ in range(points)
-    ]
-    site_points = [
-        Point(rng.uniform(0, side), rng.uniform(0, side))
-        for _ in range(sites)
-    ]
-    xs = [point.x for point in field]
-    ys = [point.y for point in field]
-    classify = compile_nearest_site_kernel(
-        [site.x for site in site_points],
-        [site.y for site in site_points],
-    )
-    runs = []
-    for _ in range(repeats):
-        started = perf_clock()
-        for _ in range(rounds):
-            if mode == "scalar":
-                for point in field:
-                    closest_site_index(point, site_points)
-            elif mode == "compiled":
-                classify(xs, ys)
-            else:
-                closest_site_indices(field, site_points)
-        runs.append(rounds * points / (perf_clock() - started))
-    return _best_of(runs)
-
-
 def distance_filter_throughput(
     points: int = 2_000,
     rounds: int = 50,
@@ -289,98 +211,8 @@ def distance_filter_throughput(
                 for receiver in receivers:
                     field.drop_cause(sender, receiver)
         runs.append(rounds * points / (perf_clock() - started))
-    return _best_of(runs)
-
-
-def sweep_mini_throughput(
-    sim_time_s: float = 2_000.0,
-) -> typing.Dict[str, float]:
-    """End-to-end runs per second for a one-cell serial sweep.
-
-    Runs all three algorithms at the 4-robot density from a cold
-    placement cache — the smallest workload that exercises the full
-    scenario pipeline *and* the placement-cache reuse pattern (three
-    configs, one shared deployment).
-    """
-    from repro.experiments.runner import run_many
-
-    configs = [
-        paper_scenario(
-            algorithm, 4, seed=3, sim_time_s=sim_time_s
-        )
-        for algorithm in Algorithm.ALL
-    ]
-    reset_placement_cache()
-    started = perf_clock()
-    run_many(configs, parallel=False)
-    wall_s = perf_clock() - started
-    return {
-        "runs": float(len(configs)),
-        "sim_time_s": sim_time_s,
-        "wall_s": round(wall_s, 3),
-        "throughput_per_s": round(len(configs) / wall_s, 3),
-    }
-
-
-def _synthetic_report(description: str) -> RunReport:
-    """A populated RunReport without running a simulation."""
-    return RunReport(
-        description=description,
-        failures=5,
-        detected=5,
-        reported=4,
-        repaired=3,
-        mean_travel_distance=82.5,
-        mean_repair_latency=130.25,
-        mean_report_hops=2.4,
-        mean_request_hops=float("nan"),
-        update_transmissions_per_failure=101.5,
-        report_delivery_ratio=1.0,
-        total_robot_distance=412.0,
-        transmissions_by_category={"beacon": 100},
-        routing_snapshot={},
-    )
-
-
-def service_submit_throughput(submits: int = 200, seed: int = 11) -> float:
-    """Cache-hit submissions per second through the full HTTP stack.
-
-    Prepopulates a throwaway store with one entry, starts the service
-    on an ephemeral port, and re-submits that entry's config *submits*
-    times — every request exercises client, server, routing, the
-    single-flight queue, and a store lookup, but no simulation runs.
-    """
-    from repro.service import JobQueue, ServiceClient, serve
-
-    root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        store = RunStore(root)
-        config = paper_scenario(
-            Algorithm.FIXED,
-            4,
-            seed=seed,
-            sensors_per_robot=5,
-            placement="grid",
-            sim_time_s=500.0,
-        )
-        store.put(config, _synthetic_report(config.describe()))
-        queue = JobQueue(store, workers=1)
-        server = serve(queue=queue, quiet=True)
-        threading.Thread(
-            target=server.serve_forever, daemon=True
-        ).start()
-        client = ServiceClient(port=server.port)
-        body = config.to_json_dict()
-        started = perf_clock()
-        for _ in range(submits):
-            client.submit(body)
-        elapsed = perf_clock() - started
-        server.shutdown()
-        server.server_close()
-        queue.shutdown(wait=False)
-        return submits / elapsed
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    # timeit-style: the least-disturbed run is the honest one.
+    return max(runs)
 
 
 def run_benchmarks(
@@ -433,39 +265,8 @@ def run_benchmarks(
             1,
         ),
     }
-    submits = 200 // scale
-    results["service_submit_hit"] = {
-        "submits": submits,
-        "throughput_per_s": round(
-            service_submit_throughput(submits), 1
-        ),
-    }
 
     kernel_rounds = 48 // scale
-    scalar_membership = voronoi_membership_throughput(
-        rounds=kernel_rounds, mode="scalar"
-    )
-    kernel_membership = voronoi_membership_throughput(
-        rounds=kernel_rounds, mode="kernel"
-    )
-    compiled_membership = voronoi_membership_throughput(
-        rounds=kernel_rounds, mode="compiled"
-    )
-    membership_shape = {"points": 2_000, "sites": 9, "rounds": kernel_rounds}
-    results["voronoi_membership_scalar"] = {
-        **membership_shape,
-        "throughput_per_s": round(scalar_membership, 1),
-    }
-    results["voronoi_membership_kernel"] = {
-        **membership_shape,
-        "throughput_per_s": round(kernel_membership, 1),
-        "speedup": round(kernel_membership / scalar_membership, 2),
-    }
-    results["voronoi_membership_compiled"] = {
-        **membership_shape,
-        "throughput_per_s": round(compiled_membership, 1),
-        "speedup": round(compiled_membership / scalar_membership, 2),
-    }
     scalar_filter = distance_filter_throughput(
         rounds=kernel_rounds, batched=False
     )
@@ -482,8 +283,28 @@ def run_benchmarks(
         "throughput_per_s": round(kernel_filter, 1),
         "speedup": round(kernel_filter / scalar_filter, 2),
     }
-
-    results["sweep_serial_one_cell"] = sweep_mini_throughput(
-        sim_time_s=2_000.0 / scale
-    )
     return results
+
+
+def merge_bench_results(
+    path: str, sections: typing.Mapping[str, typing.Any]
+) -> None:
+    """Merge top-level *sections* into the JSON file at *path*.
+
+    Each key of *sections* replaces the file's entry of the same name;
+    every other entry (another writer's sections, hand-recorded A/B
+    fields) is kept.  A missing file starts empty; one that cannot be
+    parsed is rewritten, with a note on stderr.
+    """
+    merged: typing.Dict[str, typing.Any] = {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            merged = json.load(handle)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError):
+        print(f"bench: could not parse {path}; rewriting", file=sys.stderr)
+    merged.update(sections)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(merged, handle, indent=2, sort_keys=True)
+        handle.write("\n")

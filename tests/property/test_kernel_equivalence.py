@@ -18,14 +18,13 @@ from repro.faults.network import FaultRegion, NetworkFaultField
 from repro.faults.script import FaultKind
 from repro.geometry import (
     Point,
+    Rect,
+    VoronoiDiagram,
     closest_site_index,
     closest_site_indices,
     collect_entries_within_radius,
-    compile_nearest_site_kernel,
     distances_to_point,
-    filter_within_radius,
     in_disk_mask,
-    nearest_site_indices,
     segment_distance_to_point,
     segment_distances_to_points,
 )
@@ -54,19 +53,16 @@ class TestNearestSiteKernels:
         points = [Point(x, y) for x, y in pairs]
         sites = [Point(x, y) for x, y in site_pairs]
         expected = [closest_site_index(p, sites) for p in points]
-        xs, ys = _split(pairs)
-        site_xs, site_ys = _split(site_pairs)
-        assert nearest_site_indices(xs, ys, site_xs, site_ys) == expected
         assert closest_site_indices(points, sites) == expected
-
-    @given(point_lists, site_lists)
-    def test_compiled_kernel_matches_generic(self, pairs, site_pairs):
-        xs, ys = _split(pairs)
-        site_xs, site_ys = _split(site_pairs)
-        classify = compile_nearest_site_kernel(site_xs, site_ys)
-        assert classify(xs, ys) == nearest_site_indices(
-            xs, ys, site_xs, site_ys
-        )
+        # VoronoiDiagram.owner_of breaks ties by insertion order, like
+        # closest_site_index does by list order.
+        diagram = VoronoiDiagram(Rect(-1e6, -1e6, 1e6, 1e6))
+        names = [f"r{i:02d}" for i in range(len(sites))]
+        for name, site in zip(names, sites):
+            diagram.set_site(name, site)
+        assert [diagram.owner_of(p) for p in points] == [
+            names[i] for i in expected
+        ]
 
 
 class TestDistanceFilterKernels:
@@ -83,19 +79,6 @@ class TestDistanceFilterKernels:
         assert in_disk_mask(xs, ys, cx, cy, radius) == [
             region.covers(Point(x, y)) for x, y in pairs
         ]
-
-    @given(point_lists, coords, coords, radii)
-    def test_filter_within_radius_matches_scalar(self, pairs, cx, cy, radius):
-        # Scalar reference: SpatialGrid.within's membership test.
-        r2 = radius * radius
-        expected = []
-        for index, (x, y) in enumerate(pairs):
-            qx = x - cx
-            qy = y - cy
-            if qx * qx + qy * qy <= r2:
-                expected.append(index)
-        xs, ys = _split(pairs)
-        assert filter_within_radius(xs, ys, cx, cy, radius) == expected
 
     @given(point_lists, coords, coords, radii)
     def test_collect_entries_matches_scalar(self, pairs, cx, cy, radius):

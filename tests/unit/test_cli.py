@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,7 +48,44 @@ class TestParser:
             build_parser().parse_args([])
 
 
+#: ``repro bench``'s entries: one per live fast path it guards.
+KEPT_MICROBENCHMARKS = {
+    "kernel_call_in",
+    "spatial_within_cached",
+    "spatial_within_cold",
+    "channel_fanout_4robots",
+    "channel_fanout_9robots",
+    "channel_fanout_16robots",
+    "channel_fanout_16robots_lossy",
+    "distance_filter_scalar",
+    "distance_filter_kernel",
+}
+
+
 class TestCommands:
+    def test_bench_merges_into_existing_results(self, capsys, tmp_path):
+        output = tmp_path / "BENCH_results.json"
+        # The figure-bench conftest's section must survive the merge.
+        foreign = {"fig2": {"wall_time_s": 1.5}}
+        output.write_text(json.dumps({"benches": foreign}))
+        assert main(["bench", "--quick", "--output", str(output)]) == 0
+        results = json.loads(output.read_text())
+        assert results["benches"] == foreign
+        assert set(results["microbenchmarks"]) == KEPT_MICROBENCHMARKS
+        assert "speedup" in results["microbenchmarks"]["distance_filter_kernel"]
+        assert "geometry_kernels" not in results
+        assert "sweep_throughput" not in results
+        assert "distance_filter_kernel" in capsys.readouterr().out
+
+    def test_bench_rewrites_unparseable_results(self, capsys, tmp_path):
+        from repro.perf import merge_bench_results
+
+        output = tmp_path / "BENCH_results.json"
+        output.write_text("{not json")
+        merge_bench_results(str(output), {"benches": {}})
+        assert json.loads(output.read_text()) == {"benches": {}}
+        assert "could not parse" in capsys.readouterr().err
+
     def test_params_prints_paper_table(self, capsys):
         assert main(["params"]) == 0
         out = capsys.readouterr().out
