@@ -564,11 +564,11 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help=(
             "run uncached simulations over N worker processes "
-            "(default: serial)"
+            "(default: 1, serial)"
         ),
     )
 
@@ -697,7 +697,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     ]
     reports, cache = run_many(
         configs,
-        parallel=bool(args.jobs and args.jobs > 1),
         max_workers=args.jobs,
         store=store,
         progress=lambda line: print(line, file=sys.stderr),
@@ -741,7 +740,6 @@ def _command_figure(args: argparse.Namespace) -> int:
             loss_rates=(args.loss,),
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             sim_time_s=args.sim_time,
@@ -752,7 +750,6 @@ def _command_figure(args: argparse.Namespace) -> int:
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
             sim_time_s=args.sim_time,
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             robot_speed_mps=args.speed,
@@ -762,7 +759,6 @@ def _command_figure(args: argparse.Namespace) -> int:
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
             sim_time_s=args.sim_time,
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             robot_speed_mps=args.speed,
@@ -772,7 +768,6 @@ def _command_figure(args: argparse.Namespace) -> int:
         figure = generator(
             robot_counts=tuple(args.robots),
             seeds=tuple(args.seeds),
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             sim_time_s=args.sim_time,

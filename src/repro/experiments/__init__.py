@@ -33,6 +33,7 @@ from repro.experiments.runner import (
     SweepResult,
     run_config,
     run_config_timed,
+    run_grid,
     run_many,
     sweep,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "render_table",
     "run_config",
     "run_config_timed",
+    "run_grid",
     "run_many",
     "sweep",
 ]

@@ -7,8 +7,8 @@ returns an :class:`AblationResult` with one labelled
 
 Every study executes through :func:`~repro.experiments.runner.run_many`,
 so an optional :class:`~repro.store.RunStore` serves previously computed
-variants from disk, and ``max_workers`` fans fresh variants out over a
-process pool.
+variants from disk.  Studies run serially by default (``max_workers=1``);
+``max_workers=N`` fans fresh variants out over a pool of N processes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.deploy.scenario import (
     Algorithm,
     DispatchPolicy,
     PartitionStyle,
-    ScenarioConfig,
     paper_scenario,
 )
 from repro.experiments.render import render_table
@@ -63,26 +62,11 @@ class AblationResult:
         return getattr(self.variants[label], metric)
 
 
-def _run_variants(
-    configs: typing.Sequence[ScenarioConfig],
-    store: typing.Optional["RunStore"],
-    max_workers: typing.Optional[int],
-) -> typing.List[RunReport]:
-    """Execute a study's configs (parallel only when asked via --jobs)."""
-    reports, _cache = run_many(
-        configs,
-        parallel=max_workers is not None and max_workers > 1,
-        max_workers=max_workers,
-        store=store,
-    )
-    return reports
-
-
 def partition_ablation(
     robot_count: int = 9,
     seeds: typing.Sequence[int] = (1,),
     store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
+    max_workers: typing.Optional[int] = 1,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Square vs staggered subarea shape for the fixed algorithm
@@ -99,7 +83,7 @@ def partition_ablation(
         for style in styles
         for seed in seeds
     ]
-    reports = _run_variants(configs, store, max_workers)
+    reports, _ = run_many(configs, max_workers=max_workers, store=store)
     variants = {}
     for position, style in enumerate(styles):
         cell = reports[position * len(seeds):(position + 1) * len(seeds)]
@@ -121,7 +105,7 @@ def update_threshold_ablation(
     robot_count: int = 9,
     seed: int = 1,
     store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
+    max_workers: typing.Optional[int] = 1,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Location-update threshold sweep (paper §4.2 uses 20 m)."""
@@ -135,7 +119,7 @@ def update_threshold_ablation(
         )
         for threshold in thresholds
     ]
-    reports = _run_variants(configs, store, max_workers)
+    reports, _ = run_many(configs, max_workers=max_workers, store=store)
     variants = {
         f"{threshold:g} m": report
         for threshold, report in zip(thresholds, reports)
@@ -155,7 +139,7 @@ def dispatch_policy_ablation(
     robot_count: int = 9,
     seed: int = 1,
     store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
+    max_workers: typing.Optional[int] = 1,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Closest (paper) vs load-aware dispatch in the centralized
@@ -170,7 +154,7 @@ def dispatch_policy_ablation(
         )
         for policy in DispatchPolicy.ALL
     ]
-    reports = _run_variants(configs, store, max_workers)
+    reports, _ = run_many(configs, max_workers=max_workers, store=store)
     variants = dict(zip(DispatchPolicy.ALL, reports))
     return AblationResult(
         name="central-manager dispatch policy",
@@ -191,7 +175,7 @@ def efficient_broadcast_ablation(
     robot_count: int = 9,
     seed: int = 1,
     store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
+    max_workers: typing.Optional[int] = 1,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Flood-everyone vs connected-dominating-set relays (paper future
@@ -211,7 +195,7 @@ def efficient_broadcast_ablation(
         )
         for algorithm, efficient in cells
     ]
-    reports = _run_variants(configs, store, max_workers)
+    reports, _ = run_many(configs, max_workers=max_workers, store=store)
     variants = {
         f"{algorithm}/{'cds' if efficient else 'all'}": report
         for (algorithm, efficient), report in zip(cells, reports)

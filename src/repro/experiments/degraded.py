@@ -19,16 +19,14 @@ from __future__ import annotations
 import typing
 
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
-from repro.experiments.figures import ClaimCheck, FigureResult
-from repro.experiments.runner import SweepPoint, SweepResult, run_many
+from repro.experiments.figures import _ALGORITHMS, ClaimCheck, FigureResult
+from repro.experiments.runner import SweepResult, run_grid
 from repro.faults.script import FaultEvent, FaultKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.store.store import RunStore
 
 __all__ = ["default_degraded_campaign", "figure_degraded"]
-
-_ALGORITHMS = (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED)
 
 #: The clean-channel latency comparison runs on one algorithm only —
 #: centralized exercises the full desk/probe ladder.
@@ -85,7 +83,6 @@ def figure_degraded(
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1, 2),
     sim_time_s: float = 4_000.0,
-    parallel: bool = True,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
@@ -101,77 +98,61 @@ def figure_degraded(
     channel adaptive verification confirms failures faster.
     """
     campaign = default_degraded_campaign(sim_time_s)
-    configs = []
-    cells = []
-    for algorithm in _ALGORITHMS:
-        for degraded in (False, True):
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm,
-                        robot_count,
-                        seed=seed,
-                        sim_time_s=sim_time_s,
-                        detection_mode=DetectionMode.BEACON,
-                        loss_rate=0.05,
-                        mean_lifetime_s=900.0,
-                        fault_script=campaign,
-                        verify_failures=True,
-                        adaptive_verify=degraded,
-                        coop_repair=degraded,
-                        jam_aware=degraded,
-                        **overrides,
-                    )
-                )
-                cells.append((algorithm, degraded))
-
-    # Clean-channel pair: same field, no faults, lossless air; only the
-    # adaptive flag differs, so any latency delta is the controller's.
-    clean_cells = []
-    for adaptive in (False, True):
-        for seed in seeds:
-            configs.append(
-                paper_scenario(
-                    _CLEAN_ALGORITHM,
-                    robot_count,
-                    seed=seed,
-                    sim_time_s=sim_time_s,
-                    detection_mode=DetectionMode.BEACON,
-                    loss_rate=0.0,
-                    mean_lifetime_s=900.0,
-                    verify_failures=True,
-                    adaptive_verify=adaptive,
-                    **overrides,
-                )
-            )
-            clean_cells.append(adaptive)
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
-        store=store,
-    )
-    campaign_reports = ordered[: len(cells)]
-    clean_reports = ordered[len(cells):]
-
-    groups: typing.Dict[typing.Tuple[str, bool], list] = {}
-    for cell, report in zip(cells, campaign_reports):
-        groups.setdefault(cell, []).append(report)
-    clean_groups: typing.Dict[bool, list] = {}
-    for adaptive, report in zip(clean_cells, clean_reports):
-        clean_groups.setdefault(adaptive, []).append(report)
-
-    points = tuple(
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=int(degraded),
-            reports=tuple(groups[(algorithm, degraded)]),
+    cells = [
+        (
+            algorithm,
+            int(degraded),
+            paper_scenario(
+                algorithm,
+                robot_count,
+                seed=seed,
+                sim_time_s=sim_time_s,
+                detection_mode=DetectionMode.BEACON,
+                loss_rate=0.05,
+                mean_lifetime_s=900.0,
+                fault_script=campaign,
+                verify_failures=True,
+                adaptive_verify=degraded,
+                coop_repair=degraded,
+                jam_aware=degraded,
+                **overrides,
+            ),
         )
         for algorithm in _ALGORITHMS
         for degraded in (False, True)
+        for seed in seeds
+    ]
+    # Clean-channel pair: same field, no faults, lossless air; only the
+    # adaptive flag differs, so any latency delta is the controller's.
+    # It rides in the same batch as series "clean" and is kept out of
+    # the plotted points.
+    cells += [
+        (
+            "clean",
+            int(adaptive),
+            paper_scenario(
+                _CLEAN_ALGORITHM,
+                robot_count,
+                seed=seed,
+                sim_time_s=sim_time_s,
+                detection_mode=DetectionMode.BEACON,
+                loss_rate=0.0,
+                mean_lifetime_s=900.0,
+                verify_failures=True,
+                adaptive_verify=adaptive,
+                **overrides,
+            ),
+        )
+        for adaptive in (False, True)
+        for seed in seeds
+    ]
+    grid = run_grid(cells, max_workers=max_workers, store=store)
+    result = SweepResult(
+        points=tuple(
+            point for point in grid.points if point.algorithm != "clean"
+        ),
+        cache=grid.cache,
     )
-    result = SweepResult(points=points, cache=cache)
 
     series = {
         algorithm: tuple(
@@ -185,9 +166,9 @@ def figure_degraded(
 
     degraded_on = [
         report
-        for (algorithm, degraded), reports in groups.items()
-        if degraded
-        for report in reports
+        for point in result.points
+        if point.robot_count == 1
+        for report in point.reports
     ]
     coop_claims = sum(r.coop_claims for r in degraded_on)
     coop_offers = sum(r.coop_offers for r in degraded_on)
@@ -200,17 +181,9 @@ def figure_degraded(
         for quorum, count in report.adaptive_quorum_histogram.items():
             quorums[quorum] = quorums.get(quorum, 0) + count
 
-    def _clean_latency(adaptive: bool) -> float:
-        reports = clean_groups.get(adaptive, [])
-        values = [
-            r.mean_verification_latency_s
-            for r in reports
-            if r.mean_verification_latency_s == r.mean_verification_latency_s
-        ]
-        return sum(values) / len(values) if values else float("nan")
-
-    static_latency = _clean_latency(False)
-    adaptive_latency = _clean_latency(True)
+    latency = "mean_verification_latency_s"
+    static_latency = grid.point("clean", 0).mean(latency)
+    adaptive_latency = grid.point("clean", 1).mean(latency)
 
     claims = (
         ClaimCheck(

@@ -81,7 +81,6 @@ _ALGORITHMS = (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED)
 def figure2_motion_overhead(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -97,7 +96,6 @@ def figure2_motion_overhead(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,
@@ -157,7 +155,6 @@ def figure2_motion_overhead(
 def figure3_hops(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -174,7 +171,6 @@ def figure3_hops(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,
@@ -245,7 +241,6 @@ def figure3_hops(
 def figure4_update_transmissions(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -262,7 +257,6 @@ def figure4_update_transmissions(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,

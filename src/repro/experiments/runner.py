@@ -1,10 +1,14 @@
 """Experiment runner: replicated sweeps over scenario configurations.
 
 The paper's figures plot one metric against the number of maintenance
-robots (4, 9, 16) for each algorithm.  :func:`sweep` runs the cross
-product of algorithms × robot counts × seeds and returns every
-:class:`~repro.metrics.RunReport`, optionally in parallel across
-processes (each run is an independent, deterministic simulation).
+robots (4, 9, 16) for each algorithm.  :func:`run_grid` is the one grid
+runner: it executes ``(series, x, config)`` cells and groups the
+replicates of each (series, x) into a :class:`SweepPoint`.
+:func:`sweep` builds the paper's algorithms × robot counts × seeds grid
+on it; the extension figures build theirs (MTBF, permanence, a feature
+off/on) the same way.  Runs go through :func:`run_many`, whose only
+parallelism setting is ``max_workers`` (each run is an independent,
+deterministic simulation).
 
 When a :class:`~repro.store.RunStore` is supplied, the grid is first
 partitioned into cache **hits** (loaded from disk, zero simulation) and
@@ -39,7 +43,7 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.placement_cache import placement_key
 from repro.deploy.scenario import ScenarioConfig, paper_scenario
 from repro.net.radio import sensor_radio
-from repro.metrics.aggregate import SummaryStats, summarize
+from repro.metrics.aggregate import SummaryStats, mean_of, summarize
 from repro.metrics.collector import RunReport
 from repro.store.provenance import perf_clock
 
@@ -52,6 +56,7 @@ __all__ = [
     "SweepResult",
     "run_config",
     "run_config_timed",
+    "run_grid",
     "run_many",
     "spawn_pool",
     "sweep",
@@ -162,7 +167,6 @@ class CacheStats:
 
 def run_many(
     configs: typing.Sequence[ScenarioConfig],
-    parallel: bool = True,
     max_workers: typing.Optional[int] = None,
     store: typing.Optional["RunStore"] = None,
     progress: typing.Optional[typing.Callable[[str], None]] = None,
@@ -173,10 +177,11 @@ def run_many(
     hit/miss split.  Misses are persisted one by one as they complete,
     so a killed batch leaves everything already finished reusable.
 
-    The parallel path groups misses by placement key into contiguous
-    chunks executed by a spawn-context worker pool (one process task
-    per chunk — see the module docstring); the serial path runs
-    in-process in input order.
+    *max_workers* is the only parallelism setting: ``None`` runs one
+    worker per CPU, a value below 2 runs serially in-process in input
+    order, and N groups misses by placement key into contiguous chunks
+    executed by a spawn-context pool of N (one process task per chunk
+    — see the module docstring).
     """
     reports: typing.Dict[int, RunReport] = {}
     misses: typing.List[typing.Tuple[int, ScenarioConfig]] = []
@@ -191,14 +196,8 @@ def run_many(
         else:
             misses.append((index, config))
 
-    if max_workers is not None and max_workers < 2:
-        parallel = False
-    if parallel and len(misses) > 1:
-        workers = (
-            max_workers
-            if max_workers is not None
-            else os.cpu_count() or 1
-        )
+    workers = max_workers if max_workers is not None else os.cpu_count() or 1
+    if workers > 1 and len(misses) > 1:
         # Stable-sort misses so configs sharing a deployment sit next
         # to each other (then in input order); contiguous chunks then
         # maximize each worker's placement-cache reuse.
@@ -245,7 +244,12 @@ def run_many(
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SweepPoint:
-    """One (algorithm, robot count) grid point with its replicates."""
+    """One (algorithm, robot count) grid point with its replicates.
+
+    The extension figures reuse the two keys: ``algorithm`` holds their
+    series label and ``robot_count`` their integer x value (an MTBF, a
+    grid index, or 0/1 for a feature off/on).
+    """
 
     algorithm: str
     robot_count: int
@@ -258,8 +262,12 @@ class SweepPoint:
         )
 
     def mean(self, metric: str) -> float:
-        """Mean of attribute *metric* over the replicates."""
-        return self.stat(metric).mean
+        """Mean of attribute *metric* over the replicates.
+
+        NaN replicates are skipped; NaN when none is finite (a point
+        where no run observed the metric plots as a gap).
+        """
+        return mean_of([getattr(report, metric) for report in self.reports])
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -305,6 +313,35 @@ class SweepResult:
         return sorted({point.robot_count for point in self.points})
 
 
+def run_grid(
+    cells: typing.Sequence[typing.Tuple[str, int, ScenarioConfig]],
+    max_workers: typing.Optional[int] = None,
+    store: typing.Optional["RunStore"] = None,
+    progress: typing.Optional[typing.Callable[[str], None]] = None,
+) -> SweepResult:
+    """Run ``(series, x, config)`` cells as one :func:`run_many` batch.
+
+    Cells sharing a series and x are the replicates of one
+    :class:`SweepPoint`; points come back in first-seen order.
+    """
+    reports, cache = run_many(
+        [config for _, _, config in cells],
+        max_workers=max_workers,
+        store=store,
+        progress=progress,
+    )
+    groups: typing.Dict[typing.Tuple[str, int], typing.List[RunReport]] = {}
+    for (series, x, _), report in zip(cells, reports):
+        groups.setdefault((series, x), []).append(report)
+    return SweepResult(
+        points=tuple(
+            SweepPoint(series, x, tuple(replicates))
+            for (series, x), replicates in groups.items()
+        ),
+        cache=cache,
+    )
+
+
 def sweep(
     algorithms: typing.Sequence[str],
     robot_counts: typing.Sequence[int],
@@ -317,13 +354,16 @@ def sweep(
 ) -> SweepResult:
     """Run every (algorithm, robot_count, seed) combination.
 
+    The paper's grid on :func:`run_grid`: one point per (algorithm,
+    robot count) in argument order, seeds as its replicates.
+
     Parameters
     ----------
     algorithms, robot_counts, seeds:
         The grid.  Each cell uses the paper's §4.1 parameters with
         *overrides* applied (e.g. ``sim_time_s=16_000`` to shorten runs).
     parallel:
-        Fan runs out over a process pool (runs are independent).
+        ``False`` is shorthand for ``max_workers=1`` (serial).
     progress:
         Optional callback invoked with a human-readable line as each run
         finishes (or is served from the store).
@@ -332,45 +372,21 @@ def sweep(
         loaded without simulating; executed cells are persisted as they
         complete, making interrupted sweeps resumable.
     max_workers:
-        Process-pool width for the parallel path (``None`` lets the
-        executor pick; ``1`` forces serial execution).
+        Process-pool width (``None``: one worker per CPU; below 2:
+        serial), as in :func:`run_many`.
     """
-    configs: typing.List[ScenarioConfig] = []
-    for algorithm in algorithms:
-        for robot_count in robot_counts:
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm, robot_count, seed=seed, **overrides
-                    )
-                )
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
+    return run_grid(
+        [
+            (
+                algorithm,
+                robot_count,
+                paper_scenario(algorithm, robot_count, seed=seed, **overrides),
+            )
+            for algorithm in algorithms
+            for robot_count in robot_counts
+            for seed in seeds
+        ],
+        max_workers=max_workers if parallel else 1,
         store=store,
         progress=progress,
     )
-
-    # Group reports in one pass keyed on (algorithm, robot_count); the
-    # grid is rebuilt in sweep order below, so a full rescan per cell
-    # (O(grid²)) is never needed.
-    groups: typing.Dict[
-        typing.Tuple[str, int], typing.List[RunReport]
-    ] = {}
-    for config, report in zip(configs, ordered):
-        groups.setdefault(
-            (config.algorithm, config.robot_count), []
-        ).append(report)
-
-    points = [
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=robot_count,
-            reports=tuple(groups.get((algorithm, robot_count), ())),
-        )
-        for algorithm in algorithms
-        for robot_count in robot_counts
-    ]
-    return SweepResult(points=tuple(points), cache=cache)

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import typing
 
-from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
-from repro.experiments.figures import ClaimCheck, FigureResult
-from repro.experiments.runner import SweepPoint, SweepResult, run_many
+from repro.deploy.scenario import DetectionMode, paper_scenario
+from repro.experiments.figures import _ALGORITHMS, ClaimCheck, FigureResult
+from repro.experiments.runner import run_grid
 from repro.faults.script import FaultEvent, FaultKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.store.store import RunStore
 
 __all__ = ["default_network_campaign", "figure_verification"]
-
-_ALGORITHMS = (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED)
 
 
 def default_network_campaign(
@@ -68,7 +66,6 @@ def figure_verification(
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1, 2),
     sim_time_s: float = 4_000.0,
-    parallel: bool = True,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
@@ -82,47 +79,29 @@ def figure_verification(
     than it saves.
     """
     campaign = default_network_campaign(sim_time_s)
-    configs = []
-    cells = []
-    for algorithm in _ALGORITHMS:
-        for verify in (False, True):
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm,
-                        robot_count,
-                        seed=seed,
-                        sim_time_s=sim_time_s,
-                        detection_mode=DetectionMode.BEACON,
-                        fault_script=campaign,
-                        verify_failures=verify,
-                        **overrides,
-                    )
-                )
-                cells.append((algorithm, verify))
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
+    result = run_grid(
+        [
+            (
+                algorithm,
+                int(verify),
+                paper_scenario(
+                    algorithm,
+                    robot_count,
+                    seed=seed,
+                    sim_time_s=sim_time_s,
+                    detection_mode=DetectionMode.BEACON,
+                    fault_script=campaign,
+                    verify_failures=verify,
+                    **overrides,
+                ),
+            )
+            for algorithm in _ALGORITHMS
+            for verify in (False, True)
+            for seed in seeds
+        ],
         max_workers=max_workers,
         store=store,
     )
-
-    groups: typing.Dict[typing.Tuple[str, bool], list] = {}
-    for cell, report in zip(cells, ordered):
-        groups.setdefault(cell, []).append(report)
-
-    points = tuple(
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=int(verify),
-            reports=tuple(groups[(algorithm, verify)]),
-        )
-        for algorithm in _ALGORITHMS
-        for verify in (False, True)
-    )
-    result = SweepResult(points=points, cache=cache)
-
     series = {
         algorithm: tuple(
             result.point(algorithm, int(verify)).mean("false_dispatches")
@@ -133,15 +112,15 @@ def figure_verification(
 
     unverified = [
         report
-        for (algorithm, verify), reports in groups.items()
-        if not verify
-        for report in reports
+        for point in result.points
+        if point.robot_count == 0
+        for report in point.reports
     ]
     verified = [
         report
-        for (algorithm, verify), reports in groups.items()
-        if verify
-        for report in reports
+        for point in result.points
+        if point.robot_count == 1
+        for report in point.reports
     ]
     baseline_replaces_alive = sum(r.false_replacements for r in unverified)
     verified_replaces_alive = sum(r.false_replacements for r in verified)

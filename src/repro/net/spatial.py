@@ -23,12 +23,11 @@ Hot-path layout (see ``docs/PERFORMANCE.md``):
   candidate cell is then pruned by its exact minimum distance to the
   query center before its rows are collected.
 * Every mutation bumps :attr:`epoch`; the channel keys its cached
-  receiver sets on it, and the grid keys its own query memo on it, so
-  caches invalidate exactly when the node population or a position
-  changes.
-* Repeated identical queries (static network phases re-issue the same
-  disk query every beacon round) are answered from an epoch-keyed memo
-  in one dict lookup plus a small list copy.
+  receiver sets on it, so they invalidate exactly when the node
+  population or a position changes.  The grid keeps no query cache of
+  its own: the channel's per-sender cache already answers repeats
+  within one epoch, and the repeats it misses are rare (under 1 % of
+  queries on the benchmark's workloads).
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ class SpatialGrid:
         "_cells",
         "_positions",
         "_offsets",
-        "_memo",
-        "_memo_epoch",
     )
 
     def __init__(self, cell_size: float = 250.0) -> None:
@@ -83,15 +80,6 @@ class SpatialGrid:
         self._offsets: typing.Dict[
             float, typing.Tuple[typing.Tuple[int, int], ...]
         ] = {}
-        #: ``(x, y, radius) -> within() result``, valid only while
-        #: :attr:`epoch` equals ``_memo_epoch``.  Static phases (no node
-        #: joins, deaths, or moves) re-issue identical disk queries every
-        #: beacon/flood round; the memo answers those in one dict hit.
-        self._memo: typing.Dict[
-            typing.Tuple[float, float, float],
-            typing.List[typing.Tuple[str, Point]],
-        ] = {}
-        self._memo_epoch = 0
 
     def _cell_of(self, position: Point) -> typing.Tuple[int, int]:
         return (
@@ -198,15 +186,6 @@ class SpatialGrid:
         """
         if radius < 0:
             return []
-        memo = self._memo
-        if self._memo_epoch != self.epoch:
-            memo.clear()
-            self._memo_epoch = self.epoch
-        key = (center.x, center.y, radius)
-        cached = memo.get(key)
-        if cached is not None:
-            # Copy so callers may mutate their result freely.
-            return cached.copy()
         size = self.cell_size
         r2 = radius * radius
         x = center.x
@@ -242,10 +221,7 @@ class SpatialGrid:
         found: typing.List[typing.Tuple[str, Point]] = []
         collect_entries_within_radius(candidates, x, y, r2, found)
         found.sort()
-        if len(memo) >= 4096:  # bound memory on pathological query mixes
-            memo.clear()
-        memo[key] = found
-        return found.copy()
+        return found
 
     def nearest(
         self, center: Point, exclude: typing.Container[str] = ()

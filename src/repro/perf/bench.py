@@ -5,8 +5,7 @@ Every bench here guards a fast path that a simulation runs:
 * **Event kernel** — schedule-and-run a long chain of ``call_in``
   callbacks (the dominant event shape: MAC wakeups, deliveries, timers).
 * **Spatial grid** — disk range queries at the paper's sensor density
-  (one sensor per ~28 m × 28 m, 63 m query radius), with the query
-  memo warm or cold.
+  (one sensor per ~28 m × 28 m, 63 m query radius).
 * **Channel fan-out** — one-hop broadcast ``transmit`` + delivery over
   fields at the paper's three densities (4/9/16 robots' worth of
   sensors), optionally with a lossy radio.
@@ -77,15 +76,8 @@ def spatial_throughput(
     sensors: int = 800,
     probes: int = 500,
     rounds: int = 20,
-    cached: bool = True,
 ) -> float:
-    """Disk queries per second against a paper-density grid.
-
-    With ``cached=True`` (the default) the same probes repeat every
-    round, so later rounds hit the grid's epoch-keyed query memo — the
-    steady state of a static network phase.  ``cached=False`` bumps the
-    epoch between rounds to force full scans every time.
-    """
+    """Disk queries per second against a paper-density grid."""
     rng = RandomStreams(1).stream("perf.spatial.layout")
     side = _SIDE_PER_SENSOR_M * (sensors**0.5)
     grid = SpatialGrid(cell_size=80.0)
@@ -100,8 +92,6 @@ def spatial_throughput(
     ]
     started = perf_clock()
     for _ in range(rounds):
-        if not cached:
-            grid.epoch += 1  # invalidate the query memo
         for point in points:
             grid.within(point, SENSOR_RANGE_M)
     return rounds * probes / (perf_clock() - started)
@@ -235,15 +225,12 @@ def run_benchmarks(
     }
 
     rounds = 20 // scale
-    for cached in (True, False):
-        name = "spatial_within" + ("_cached" if cached else "_cold")
-        results[name] = {
-            "sensors": 800,
-            "rounds": rounds,
-            "throughput_per_s": round(
-                spatial_throughput(rounds=rounds, cached=cached), 1
-            ),
-        }
+    # "_cold" keeps the name recorded results were taken under.
+    results["spatial_within_cold"] = {
+        "sensors": 800,
+        "rounds": rounds,
+        "throughput_per_s": round(spatial_throughput(rounds=rounds), 1),
+    }
 
     fan_rounds = 8 // scale
     for robots, sensors in sorted(PAPER_DENSITIES.items()):

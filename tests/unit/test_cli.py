@@ -51,7 +51,6 @@ class TestParser:
 #: ``repro bench``'s entries: one per live fast path it guards.
 KEPT_MICROBENCHMARKS = {
     "kernel_call_in",
-    "spatial_within_cached",
     "spatial_within_cold",
     "channel_fanout_4robots",
     "channel_fanout_9robots",
