@@ -44,7 +44,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.network import NetworkFaultService
 from repro.faults.recovery import ResilienceService
 from repro.faults.script import FaultKind
-from repro.geometry.kernels import distances_to_point
 from repro.geometry.point import Point
 from repro.metrics.collector import MetricsCollector, RunReport
 from repro.net.beacon import BeaconService
@@ -237,16 +236,9 @@ class ScenarioRuntime:
         others = self.channel.nodes_within(
             node.position, probe_range, exclude=node.node_id
         )
-        # One flat-array kernel pass computes every candidate distance
-        # (same math.hypot as Point.distance_to, so the reachability
-        # cutoffs below see bit-identical values).
-        distances = distances_to_point(
-            [other.position.x for other in others],
-            [other.position.y for other in others],
-            node.position.x,
-            node.position.y,
-        )
-        for other, distance in zip(others, distances):
+        position = node.position
+        for other in others:
+            distance = position.distance_to(other.position)
             if distance <= other.radio.range_m:
                 node.neighbor_table.upsert(
                     other.node_id, other.position, other.kind, now

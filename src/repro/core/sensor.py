@@ -600,10 +600,3 @@ class SensorNode(NetworkNode):
         if known is None:
             return None
         return known
-
-    def distance_to_robot(self, robot_id: NodeId) -> float:
-        """Distance to a robot's last known position (inf if unknown)."""
-        known = self.known_robots.get(robot_id)
-        if known is None:
-            return float("inf")
-        return self.position.distance_to(known[0])

@@ -1,8 +1,13 @@
-"""Planar geometry: points, convex polygons, Voronoi diagrams, partitions.
+"""Planar geometry: points, convex polygons, Voronoi diagrams, partitions
+and detours around disks.
 
 Everything the coordination algorithms need to reason about the 2-D
 deployment field, implemented from scratch (no scipy dependency in the
-library itself; scipy is only used by tests as an oracle).
+library itself; scipy is only used by tests as an oracle).  Every query
+is a scalar loop over :class:`Point` values: the simulator asks about a
+handful of points at a time (about twelve receivers per fault-field
+call, at most sixteen Voronoi sites), too few for a batch layer over
+flat coordinate arrays to pay for its setup.
 """
 
 from repro.geometry.detour import (
@@ -11,12 +16,6 @@ from repro.geometry.detour import (
     polyline_length,
     segment_crosses_disk,
     segment_distance_to_point,
-)
-from repro.geometry.kernels import (
-    collect_entries_within_radius,
-    distances_to_point,
-    in_disk_mask,
-    segment_distances_to_points,
 )
 from repro.geometry.partition import (
     Partition,
@@ -47,16 +46,12 @@ __all__ = [
     "closest_site",
     "closest_site_index",
     "closest_site_indices",
-    "collect_entries_within_radius",
     "detour_around",
-    "distances_to_point",
-    "in_disk_mask",
     "midpoint",
     "plan_route",
     "polyline_length",
     "segment_crosses_disk",
     "segment_distance_to_point",
-    "segment_distances_to_points",
     "voronoi_cell",
     "voronoi_cells",
 ]

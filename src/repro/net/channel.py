@@ -325,25 +325,8 @@ class Channel:
         fault_field = self.fault_field
         faults_active = fault_field is not None and fault_field.active
         if loss_rate > 0.0 or faults_active:
-            if faults_active and len(receivers) > 1:
-                # Batch the fault field's disk tests over the whole
-                # receiver set (one flat-array pass per region).  The
-                # jam draws stay in receiver order on their own stream
-                # and the loss draws below stay in receiver order on
-                # theirs, so interleaving the two loops differently
-                # from the scalar path changes no stream's sequence.
-                causes = fault_field.drop_causes(
-                    sender_position,
-                    [receiver.position.x for receiver in receivers],
-                    [receiver.position.y for receiver in receivers],
-                )
-            elif faults_active:
-                causes = [
-                    fault_field.drop_cause(
-                        sender_position, receiver.position
-                    )
-                    for receiver in receivers
-                ]
+            if faults_active:
+                causes = fault_field.drop_causes(sender_position, receivers)
             else:
                 causes = None
             surviving = []

@@ -11,12 +11,9 @@ Hot-path layout (see ``docs/PERFORMANCE.md``):
   id-sorted lists.  Iterating prebuilt tuples beats zipping parallel
   coordinate arrays here — list iteration yields existing tuples with
   no per-element allocation, and the buckets are too small (a handful
-  of sensors each) to amortize any per-bucket batch setup — so the
-  grid keeps the row layout and hands the *concatenated* candidate
-  rows of a query to one
-  :func:`repro.geometry.kernels.collect_entries_within_radius` call:
-  a single fused filter-and-gather pass with no attribute loads and no
-  per-hit allocation.
+  of sensors each) to amortize any per-bucket batch setup — so a
+  query concatenates its candidate rows and filters them in one loop
+  with no attribute loads and no per-hit allocation.
 * The set of candidate cell offsets for a query radius is precomputed
   once per radius (``_offsets_for``) — the paper uses exactly two radii
   (63 m sensors, 250 m robots/manager), so the tables are tiny.  Each
@@ -38,7 +35,6 @@ import typing
 
 from math import floor as _floor
 
-from repro.geometry.kernels import collect_entries_within_radius
 from repro.geometry.point import Point
 
 __all__ = ["SpatialGrid"]
@@ -219,7 +215,12 @@ class SpatialGrid:
             if bucket:
                 extend(bucket)
         found: typing.List[typing.Tuple[str, Point]] = []
-        collect_entries_within_radius(candidates, x, y, r2, found)
+        append = found.append
+        for _key, px, py, item in candidates:
+            qx = px - x
+            qy = py - y
+            if qx * qx + qy * qy <= r2:
+                append(item)
         found.sort()
         return found
 

@@ -1,8 +1,8 @@
 """Performance harness: live fast-path microbenchmarks and profiling.
 
 ``repro.perf.bench`` measures throughput of the simulator's fast paths
-(event kernel, spatial grid, channel broadcast fan-out, fault-field
-distance filter) with plain self-timed loops — no pytest required — so
+(event kernel, spatial grid, channel broadcast fan-out) with plain
+self-timed loops — no pytest required — so
 the numbers can be recorded by ``repro-sim bench`` and compared across
 commits.  Its ``merge_bench_results`` is the one writer of
 ``BENCH_results.json``.  ``repro.perf.profiling`` wraps

@@ -9,9 +9,6 @@ Every bench here guards a fast path that a simulation runs:
 * **Channel fan-out** — one-hop broadcast ``transmit`` + delivery over
   fields at the paper's three densities (4/9/16 robots' worth of
   sensors), optionally with a lossy radio.
-* **Fault-field distance filter** — the per-receiver ``drop_cause``
-  loop against the batched ``drop_causes`` that the channel runs under
-  a jam or partition; the batched entry carries a ``speedup`` field.
 
 Whole runs, sweeps and the service are measured end to end by the
 repository benchmark (``perfbench/``), not here.
@@ -40,7 +37,6 @@ from repro.store.provenance import perf_clock
 __all__ = [
     "PAPER_DENSITIES",
     "channel_fanout_throughput",
-    "distance_filter_throughput",
     "kernel_throughput",
     "merge_bench_results",
     "run_benchmarks",
@@ -147,64 +143,6 @@ def channel_fanout_throughput(
     return sent / (perf_clock() - started)
 
 
-def distance_filter_throughput(
-    points: int = 2_000,
-    rounds: int = 50,
-    batched: bool = True,
-    repeats: int = 3,
-) -> float:
-    """Fault-field disk tests per receiver-point per second.
-
-    Measures the landed call-site change: one partition plus one jam
-    region (the degraded-scenario shape) evaluated over a batch of
-    receivers, either with the pre-kernel per-receiver
-    ``NetworkFaultField.drop_cause`` loop (``batched=False``) or one
-    batched ``drop_causes`` call (``batched=True`` — per-region
-    :func:`~repro.geometry.kernels.in_disk_mask` plus the sparse
-    combine).  Both variants consume the ``channel.jam`` stream
-    identically; best of *repeats*.
-    """
-    from repro.faults.network import FaultKind, FaultRegion, NetworkFaultField
-
-    rng = RandomStreams(7).stream("perf.filter.layout")
-    side = _SIDE_PER_SENSOR_M * (points**0.5)
-    xs = [rng.uniform(0, side) for _ in range(points)]
-    ys = [rng.uniform(0, side) for _ in range(points)]
-    receivers = [Point(x, y) for x, y in zip(xs, ys)]
-    sender = Point(side / 2.0, side / 2.0)
-    field = NetworkFaultField(RandomStreams(7).stream("channel.jam"))
-    field.add(
-        FaultRegion(
-            label="bench-partition",
-            kind=FaultKind.PARTITION,
-            center=Point(side * 0.25, side * 0.25),
-            radius=SENSOR_RANGE_M * 2.0,
-            severity=1.0,
-        )
-    )
-    field.add(
-        FaultRegion(
-            label="bench-jam",
-            kind=FaultKind.JAM,
-            center=Point(side * 0.7, side * 0.7),
-            radius=SENSOR_RANGE_M * 2.0,
-            severity=0.4,
-        )
-    )
-    runs = []
-    for _ in range(repeats):
-        started = perf_clock()
-        for _ in range(rounds):
-            if batched:
-                field.drop_causes(sender, xs, ys)
-            else:
-                for receiver in receivers:
-                    field.drop_cause(sender, receiver)
-        runs.append(rounds * points / (perf_clock() - started))
-    # timeit-style: the least-disturbed run is the honest one.
-    return max(runs)
-
-
 def run_benchmarks(
     quick: bool = False,
 ) -> typing.Dict[str, typing.Dict[str, float]]:
@@ -253,23 +191,6 @@ def run_benchmarks(
         ),
     }
 
-    kernel_rounds = 48 // scale
-    scalar_filter = distance_filter_throughput(
-        rounds=kernel_rounds, batched=False
-    )
-    kernel_filter = distance_filter_throughput(
-        rounds=kernel_rounds, batched=True
-    )
-    filter_shape = {"points": 2_000, "regions": 2, "rounds": kernel_rounds}
-    results["distance_filter_scalar"] = {
-        **filter_shape,
-        "throughput_per_s": round(scalar_filter, 1),
-    }
-    results["distance_filter_kernel"] = {
-        **filter_shape,
-        "throughput_per_s": round(kernel_filter, 1),
-        "speedup": round(kernel_filter / scalar_filter, 2),
-    }
     return results
 
 
